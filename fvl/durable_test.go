@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/fvl"
@@ -127,6 +129,55 @@ func TestResumeDurableClassifiesDamage(t *testing.T) {
 	}
 	if _, err := svc.ResumeDurable(dir); !errors.Is(err, fvl.ErrCorruptManifest) {
 		t.Fatalf("corrupt manifest: want ErrCorruptManifest, got %v", err)
+	}
+}
+
+// TestResumeDurableRefusesShardedDirectory resumes a session directory
+// written by the earlier sharded layout (fvl.OpenDurable with 3 shards over
+// the paper example's security view, checkpointed at step 12, plus a journal
+// tail). The refusal must name the shard count, must not be classified as
+// damage, and must leave every file byte-identical.
+func TestResumeDurableRefusesShardedDirectory(t *testing.T) {
+	spec := fvl.PaperExample()
+	view, err := fvl.SecurityView(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := fvl.Open(context.Background(), spec, []*fvl.View{view})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "sess")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "internal", "durable", "testdata", "sharded3"))); err != nil {
+		t.Fatal(err)
+	}
+	tree := func() map[string]string {
+		files := map[string]string{}
+		err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			data, err := os.ReadFile(path)
+			files[path] = string(data)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
+	before := tree()
+	_, err = svc.ResumeDurable(dir)
+	if err == nil || !strings.Contains(err.Error(), "3-shard") {
+		t.Fatalf("want a refusal naming 3 shards, got %v", err)
+	}
+	for _, sentinel := range []error{fvl.ErrCorruptManifest, fvl.ErrCorruptJournal, fvl.ErrTornJournal} {
+		if errors.Is(err, sentinel) {
+			t.Fatalf("refusal %v is classified as %v", err, sentinel)
+		}
+	}
+	if after := tree(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("resume touched the directory: %d files before, %d after", len(before), len(after))
 	}
 }
 

@@ -154,6 +154,7 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 	for _, w := range diffWorkloads(t) {
 		w := w
 		t.Run(w.name, func(t *testing.T) {
+			t.Parallel()
 			views := w.views(t, w.spec)
 			run, err := fvl.RandomRun(w.spec, fvl.RunOptions{TargetSize: w.runSize, Seed: w.seed})
 			if err != nil {
@@ -162,6 +163,7 @@ func TestSetQueriesMatchPointQueryOracle(t *testing.T) {
 			for _, variant := range []fvl.Variant{fvl.SpaceEfficient, fvl.Materialized, fvl.QueryEfficient} {
 				variant := variant
 				t.Run(variant.String(), func(t *testing.T) {
+					t.Parallel()
 					svc, err := fvl.Open(ctx, w.spec, views, fvl.WithVariant(variant), fvl.WithWorkers(2))
 					if err != nil {
 						t.Fatal(err)

@@ -153,7 +153,6 @@ func All() []Experiment {
 		{"snapshot", "Loaded label snapshot vs freshly built labels, differential (needs -load)", SnapshotServing},
 		{"recovery", "Durable session resume latency vs checkpoint interval", Recovery},
 		{"service", "fvld network overhead: remote vs in-process ingestion and queries", ServiceOverhead},
-		{"shard", "Sharded sessions: apply latency and epoch-vector query throughput vs shard count", ShardScaling},
 	}
 }
 

@@ -181,7 +181,7 @@ func Recover(scheme *core.Scheme, dir string, opts Options) (*Session, error) {
 		return nil, err
 	}
 	if m.Shards != 0 {
-		return nil, fmt.Errorf("durable: %s holds a %d-shard session (use RecoverSharded)", dir, m.Shards)
+		return nil, fmt.Errorf("durable: %s holds a %d-shard session; this version cannot open sharded directories", dir, m.Shards)
 	}
 	segSteps := m.SegmentSteps
 	listing, err := listDir(fs, dir)

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -543,5 +545,52 @@ func TestManifestRoundTrip(t *testing.T) {
 	}
 	if _, err := durable.EncodeManifest(durable.Manifest{SegmentSteps: 8, CheckpointStep: 3}); err == nil {
 		t.Fatal("checkpoint step without checkpoint flag encoded")
+	}
+}
+
+// readTree returns every regular file under dir by its slash-separated
+// relative path.
+func readTree(t *testing.T, dir string) map[string][]byte {
+	t.Helper()
+	files := map[string][]byte{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(dir, path)
+		files[filepath.ToSlash(rel)] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestRecoverRefusesShardedDirectory opens a session directory written by
+// the earlier sharded layout (3 shards, a checkpoint at step 12 and a
+// journal tail in every shard). Recover must refuse it by its shard count —
+// not classify it as damage — and leave every byte in place.
+func TestRecoverRefusesShardedDirectory(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "sess")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("testdata", "sharded3"))); err != nil {
+		t.Fatal(err)
+	}
+	before := readTree(t, dir)
+	_, err := durable.Recover(testScheme(t), dir, durable.Options{})
+	if err == nil || !strings.Contains(err.Error(), "3-shard") {
+		t.Fatalf("want a refusal naming 3 shards, got %v", err)
+	}
+	for _, sentinel := range []error{faults.ErrCorruptManifest, faults.ErrCorruptJournal, faults.ErrTornJournal} {
+		if errors.Is(err, sentinel) {
+			t.Fatalf("refusal %v is classified as %v", err, sentinel)
+		}
+	}
+	if after := readTree(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("recovery touched the directory: %d files before, %d after", len(before), len(after))
 	}
 }

@@ -23,10 +23,12 @@ import (
 //	              byte checkpoint flag, uvarint checkpoint step,
 //	              [uvarint shard count — present only when > 0]
 //
-// The shard-count field is appended only for sharded sessions (Shards > 0),
-// so classic session directories keep byte-identical manifests and an old
-// manifest decodes with Shards == 0. Canonicality holds for both forms: the
-// decoder reads the field exactly when payload bytes remain.
+// The shard-count field marks a sharded session directory, a layout earlier
+// versions wrote and this one cannot open. It is still decoded so that
+// Recover can refuse such a directory by name instead of misreading it;
+// classic manifests omit it and decode with Shards == 0. Canonicality holds
+// for both forms: the decoder reads the field exactly when payload bytes
+// remain.
 var manifestMagic = [8]byte{'F', 'V', 'L', 'M', 'A', 'N', 'I', 0x01}
 
 const manifestHeaderSize = 8 + 4 + 8
@@ -44,10 +46,8 @@ type Manifest struct {
 	// CheckpointStep is the epoch the latest durable checkpoint covers; zero
 	// when HasCheckpoint is false.
 	CheckpointStep int
-	// Shards is the shard count of a sharded session directory (see
-	// internal/shard); zero marks a classic single-labeler session. The
-	// count is fixed at creation — resume must rebuild exactly the same
-	// partitioning, so it lives in the commit record.
+	// Shards is the shard count of a sharded session directory; zero marks
+	// a classic single-labeler session, the only kind Recover opens.
 	Shards int
 }
 
@@ -130,7 +130,7 @@ func decodeManifest(data []byte) (Manifest, error) {
 	}
 	rest = rest[n:]
 	// The shard-count field exists exactly when bytes remain (sharded
-	// sessions append it; classic manifests end here).
+	// directories carry it; classic manifests end here).
 	var shards uint64
 	if len(rest) > 0 {
 		shards, n = binary.Uvarint(rest)
